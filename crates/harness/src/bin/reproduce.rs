@@ -240,6 +240,23 @@ fn replay_divergence(div: &harness::Divergence) -> Option<String> {
     })
 }
 
+/// Parses a `--traces` value: comma-separated Table-1 trace numbers. An
+/// unknown number would otherwise select no runs and print empty tables.
+fn parse_traces(list: Option<&str>) -> Result<Vec<usize>, String> {
+    let rows = traces::table1().len();
+    let list = list.ok_or(format!(
+        "--traces requires trace numbers 1-{rows}, e.g. 1,2,3"
+    ))?;
+    list.split(',')
+        .map(|t| match t.parse::<usize>() {
+            Ok(n) if (1..=rows).contains(&n) => Ok(n),
+            _ => Err(format!(
+                "--traces: {t:?} is not a Table-1 trace number (1-{rows})"
+            )),
+        })
+        .collect()
+}
+
 fn suite_main(argv: Vec<String>) {
     let mut cfg = SuiteConfig::paper_default();
     let mut csv_dir: Option<std::path::PathBuf> = None;
@@ -278,12 +295,10 @@ fn suite_main(argv: Vec<String>) {
                     .expect("--seed requires an integer");
             }
             "--traces" => {
-                let list = args.next().expect("--traces requires e.g. 1,2,3");
-                cfg.traces = Some(
-                    list.split(',')
-                        .map(|t| t.parse().expect("trace numbers are 1..=14"))
-                        .collect(),
-                );
+                cfg.traces = Some(parse_traces(args.next().as_deref()).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }));
             }
             "--link-delay-ms" => {
                 let ms: u64 = args
@@ -766,9 +781,9 @@ struct RungOutcome {
     /// The rung's folded-stack export, when the rung ran under
     /// `--profile`.
     folded: Option<String>,
-    /// The rung's `cesrm-digest/1` trail fragment (one `rungs[]` entry),
-    /// when the rung ran under `--digest`.
-    digest: Option<obs::JsonValue>,
+    /// The rung's digest levels (one `rungs[]` entry of the
+    /// `cesrm-digest/1` trail), when the rung ran under `--digest`.
+    digest: Option<harness::RungDigest>,
 }
 
 fn protocol_from_name(name: &str) -> harness::Protocol {
@@ -818,10 +833,7 @@ fn run_rung_in_process(cfg: &harness::ScaleConfig) -> RungOutcome {
         obs::JsonValue::parse(&text).expect("prof_json emits well-formed JSON")
     });
     let folded = r.prof.as_ref().map(harness::prof_folded);
-    let digest = r
-        .digest
-        .is_some()
-        .then(|| harness::rung_digest_json(cfg, &r));
+    let digest = r.digest.is_some().then(|| harness::rung_digest(cfg, &r));
     RungOutcome {
         receivers: r.receivers,
         shards: r.shards,
@@ -891,15 +903,15 @@ fn scale_rung_main(argv: &[String]) {
     cfg.protocol = protocol_from_name(&protocol);
     let o = run_rung_in_process(&cfg);
     let mut doc = rung_json(&o, &protocol);
-    // The folded export and the digest trail fragment ride along only on
-    // the child→parent line; they are derived data and stay out of the
-    // bench document (and out of the locked `rung_json` key set).
+    // The folded export and the digest levels ride along only on the
+    // child→parent line; they are derived data and stay out of the bench
+    // document (and out of the locked `rung_json` key set).
     if let obs::JsonValue::Obj(members) = &mut doc {
         if let Some(folded) = &o.folded {
             members.push(("folded".into(), obs::JsonValue::Str(folded.clone())));
         }
         if let Some(digest) = &o.digest {
-            members.push(("digest".into(), digest.clone()));
+            members.push(("digest".into(), rung_digest_to_line(digest)));
         }
     }
     println!("{}", doc.to_string_compact());
@@ -976,10 +988,95 @@ fn rung_from_json(doc: &obs::JsonValue) -> Option<RungOutcome> {
             .get("folded")
             .and_then(obs::JsonValue::as_str)
             .map(str::to_string),
-        digest: doc
-            .get("digest")
-            .filter(|v| !matches!(v, obs::JsonValue::Null))
-            .cloned(),
+        digest: match doc.get("digest") {
+            Some(line) => Some(rung_digest_from_line(line)?),
+            None => None,
+        },
+    })
+}
+
+/// A rung's digest levels on the child→parent line: leaves as
+/// `[epoch, node, bucket, "hash", records]` rows and groups as
+/// `[group, "hash", records]` rows, with hashes in hex (a 64-bit digest
+/// does not survive the f64 number model). The parent renders the trail.
+fn rung_digest_to_line(d: &harness::RungDigest) -> obs::JsonValue {
+    use obs::JsonValue as J;
+    let num = |n: u64| J::Num(n as f64);
+    let hex = |h: u64| J::Str(format!("{h:016x}"));
+    J::Arr(vec![
+        num(d.receivers),
+        num(u64::from(d.losses)),
+        num(d.snapshot.epoch_ns),
+        num(d.snapshot.bucket_ns),
+        J::Arr(
+            d.snapshot
+                .leaves
+                .iter()
+                .map(|l| {
+                    J::Arr(vec![
+                        num(l.epoch),
+                        num(u64::from(l.node)),
+                        num(l.bucket),
+                        hex(l.hash),
+                        num(l.count),
+                    ])
+                })
+                .collect(),
+        ),
+        J::Arr(
+            d.groups
+                .iter()
+                .map(|&(g, gd)| J::Arr(vec![num(u64::from(g)), hex(gd.hash), num(gd.count)]))
+                .collect(),
+        ),
+    ])
+}
+
+/// Inverse of [`rung_digest_to_line`]; `None` on any malformed field.
+fn rung_digest_from_line(line: &obs::JsonValue) -> Option<harness::RungDigest> {
+    let u = |v: &obs::JsonValue| v.as_u64();
+    let u32_of = |v: &obs::JsonValue| u32::try_from(v.as_u64()?).ok();
+    let hex = |v: &obs::JsonValue| u64::from_str_radix(v.as_str()?, 16).ok();
+    let [receivers, losses, epoch_ns, bucket_ns, leaves, groups] = line.as_arr()? else {
+        return None;
+    };
+    let leaves = leaves
+        .as_arr()?
+        .iter()
+        .map(|row| match row.as_arr()? {
+            [epoch, node, bucket, hash, count] => Some(obs::LeafDigest {
+                epoch: u(epoch)?,
+                node: u32_of(node)?,
+                bucket: u(bucket)?,
+                hash: hex(hash)?,
+                count: u(count)?,
+            }),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let groups = groups
+        .as_arr()?
+        .iter()
+        .map(|row| match row.as_arr()? {
+            [group, hash, count] => Some((
+                u32_of(group)?,
+                obs::LevelDigest {
+                    hash: hex(hash)?,
+                    count: u(count)?,
+                },
+            )),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(harness::RungDigest {
+        receivers: u(receivers)?,
+        losses: u32_of(losses)?,
+        snapshot: obs::DigestSnapshot {
+            epoch_ns: u(epoch_ns)?,
+            bucket_ns: u(bucket_ns)?,
+            leaves,
+        },
+        groups,
     })
 }
 
@@ -1314,12 +1411,12 @@ fn scale_main(argv: &[String]) {
             // a pinned replay shows the first divergent event.
             let digests_diverge = match (&outcome.digest, &alt_outcome.digest) {
                 (Some(a), Some(b)) => {
-                    let wrap = |frag: &obs::JsonValue| {
+                    let wrap = |rung: &harness::RungDigest| {
                         obs::JsonValue::parse(&harness::scale_digest_doc(
                             &protocol,
                             seed,
                             packets,
-                            vec![frag.clone()],
+                            std::slice::from_ref(rung),
                         ))
                         .expect("scale_digest_doc emits well-formed JSON")
                     };
@@ -1428,18 +1525,19 @@ fn scale_main(argv: &[String]) {
         eprintln!("wrote scale bench report to {}", path.display());
     }
     if let Some(path) = &digest_path {
-        let fragments: Vec<obs::JsonValue> =
-            outcomes.iter().filter_map(|o| o.digest.clone()).collect();
-        if fragments.len() < outcomes.len() {
+        let rungs: Vec<harness::RungDigest> = outcomes
+            .iter_mut()
+            .filter_map(|o| o.digest.take())
+            .collect();
+        if rungs.len() < outcomes.len() {
             eprintln!(
-                "digest trail incomplete: {} of {} rungs shipped a fragment",
-                fragments.len(),
+                "digest trail incomplete: {} of {} rungs shipped their digest levels",
+                rungs.len(),
                 outcomes.len()
             );
             std::process::exit(1);
         }
-        let doc = harness::scale_digest_doc(&protocol, seed, packets, fragments);
-        if let Err(e) = std::fs::write(path, doc) {
+        if let Err(e) = harness::write_scale_digest(path, &protocol, seed, packets, &rungs) {
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
         }

@@ -3,8 +3,10 @@
 //! The digest trail turns "md5 mismatch on a finished CSV" into "first
 //! divergence: t=1.042s node 37". [`suite_digest_json`] renders a suite
 //! run's hierarchical digests ([`crate::SuiteResult::digests`]) as a
-//! schema-stable JSON document; [`rung_digest_json`] /
-//! [`scale_digest_doc`] do the same for scale rungs. [`diff_trails`]
+//! schema-stable JSON document; [`rung_digest`] / [`scale_digest_doc`] do
+//! the same for scale rungs. Both stream through [`obs::PrettyWriter`] in
+//! one walk over each snapshot's sorted leaves, so a trail file is never
+//! held in memory whole ([`write_suite_digest`], [`write_scale_digest`]). [`diff_trails`]
 //! compares two trails top-down — run → shard/subtree group → epoch →
 //! node × time-bucket — and localizes the first divergent window;
 //! [`ReplaySpec::replay_window`] re-runs the smaller config with event
@@ -15,8 +17,8 @@
 //! Schema invariants (the `cesrm-digest/1` contract, locked by simlint
 //! D009):
 //!
-//! - **Member order is fixed** (the `obs::JsonValue` object model is
-//!   ordered), so equal runs produce byte-equal documents.
+//! - **Member order is fixed** (the writers emit members in code order),
+//!   so equal runs produce byte-equal documents.
 //! - **Digest values are hex strings** (`"%016x"`), never JSON numbers —
 //!   a 64-bit digest does not survive the f64 number model.
 //! - **Every field is deterministic**: nothing in here reads the wall
@@ -24,10 +26,11 @@
 //!   byte-identical at any `--jobs`/shard setting (asserted in
 //!   `tests/digests.rs`).
 
-use std::io::{self, Write as _};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use obs::{DigestSnapshot, JsonValue, Record};
+use obs::{DigestSnapshot, Emit, JsonValue, LevelDigest, PrettyWriter, Record};
 
 use crate::scale::{run_scale, scale_cesrm_config, ScaleConfig, ScaleResult};
 use crate::suite::{run_suite, SuiteConfig, SuiteResult};
@@ -37,27 +40,8 @@ use crate::Protocol;
 /// changes.
 pub const DIGEST_SCHEMA: &str = "cesrm-digest/1";
 
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(n: u64) -> JsonValue {
-    JsonValue::Num(n as f64)
-}
-
-fn str_val(s: &str) -> JsonValue {
-    JsonValue::Str(s.to_string())
-}
-
-/// 64-bit digests as fixed-width hex strings: the `f64`-backed JSON
-/// number model cannot carry them losslessly.
-fn hex(h: u64) -> JsonValue {
-    JsonValue::Str(format!("{h:016x}"))
+fn uint(n: u64) -> Emit<'static> {
+    Emit::Num(n as f64)
 }
 
 fn parse_hex(v: Option<&JsonValue>) -> Option<u64> {
@@ -71,66 +55,80 @@ fn fold64(acc: u64, v: u64) -> u64 {
     (acc.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// Renders one snapshot's digest / records / per-epoch levels, shared by
-/// the suite and scale writers. Buckets nest *inside* their node — each
-/// `buckets[]` row is one true `(epoch, node, bucket)` leaf — so the
-/// bisector always lands on a window whose replay contains the divergent
-/// records (an epoch-wide bucket rollup could diverge because of a
-/// different node's records).
-fn levels_members(snap: &DigestSnapshot) -> Vec<(&'static str, JsonValue)> {
+/// Streams one snapshot's digest / records / per-epoch levels into the
+/// open object, shared by the suite and scale writers. Buckets nest
+/// *inside* their node — each `buckets[]` row is one true
+/// `(epoch, node, bucket)` leaf — so the bisector always lands on a window
+/// whose replay contains the divergent records (an epoch-wide bucket
+/// rollup could diverge because of a different node's records). One walk
+/// over the sorted leaves: every epoch and node digest is folded from its
+/// contiguous span.
+fn write_levels<W: Write>(w: &mut PrettyWriter<W>, snap: &DigestSnapshot) -> io::Result<()> {
     let run = snap.run_digest();
-    let epochs: Vec<JsonValue> = snap
-        .epochs()
-        .into_iter()
-        .map(|e| {
-            let d = snap.epoch_digest(e);
-            let nodes: Vec<JsonValue> = snap
-                .nodes_in_epoch(e)
-                .into_iter()
-                .map(|(n, nd)| {
-                    let buckets: Vec<JsonValue> = snap
-                        .leaves
-                        .iter()
-                        .filter(|l| l.epoch == e && l.node == n)
-                        .map(|l| {
-                            obj(vec![
-                                ("bucket", uint(l.bucket)),
-                                ("digest", hex(l.hash)),
-                                ("records", uint(l.count)),
-                            ])
-                        })
-                        .collect();
-                    obj(vec![
-                        ("node", uint(u64::from(n))),
-                        ("digest", hex(nd.hash)),
-                        ("records", uint(nd.count)),
-                        ("buckets", JsonValue::Arr(buckets)),
-                    ])
-                })
-                .collect();
-            obj(vec![
-                ("epoch", uint(e)),
-                ("digest", hex(d.hash)),
-                ("records", uint(d.count)),
-                ("nodes", JsonValue::Arr(nodes)),
-            ])
-        })
-        .collect();
-    vec![
-        ("digest", hex(run.hash)),
+    w.members(&[
+        ("digest", Emit::Hex(run.hash)),
         ("records", uint(run.count)),
-        ("epochs", JsonValue::Arr(epochs)),
-    ]
+        ("epochs", Emit::Arr),
+    ])?;
+    for epoch in snap.epoch_spans() {
+        let d = LevelDigest::of(epoch.leaves);
+        w.element(Emit::Obj)?;
+        w.members(&[
+            ("epoch", uint(epoch.epoch)),
+            ("digest", Emit::Hex(d.hash)),
+            ("records", uint(d.count)),
+            ("nodes", Emit::Arr),
+        ])?;
+        for (node, leaves) in epoch.nodes() {
+            let nd = LevelDigest::of(leaves);
+            w.element(Emit::Obj)?;
+            w.members(&[
+                ("node", uint(u64::from(node))),
+                ("digest", Emit::Hex(nd.hash)),
+                ("records", uint(nd.count)),
+                ("buckets", Emit::Arr),
+            ])?;
+            for leaf in leaves {
+                w.element(Emit::Obj)?;
+                w.members(&[
+                    ("bucket", uint(leaf.bucket)),
+                    ("digest", Emit::Hex(leaf.hash)),
+                    ("records", uint(leaf.count)),
+                ])?;
+                w.end()?;
+            }
+            w.end()?; // buckets
+            w.end()?; // node
+        }
+        w.end()?; // nodes
+        w.end()?; // epoch
+    }
+    w.end() // epochs
 }
 
-/// Renders a suite run's digest trail as the `cesrm-digest/1` document:
-/// one entry per (trace × protocol) run in slot order, each carrying its
-/// per-epoch / per-node / per-bucket digests plus the configuration a
-/// replay needs.
-///
-/// # Panics
-/// Panics when the suite ran without [`SuiteConfig::digest`].
-pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
+/// Closes a trail document with its trailing newline and flushes the sink.
+fn finish_trail<W: Write>(w: PrettyWriter<W>) -> io::Result<W> {
+    let mut out = w.finish()?;
+    out.write_all(b"\n")?;
+    out.flush()?;
+    Ok(out)
+}
+
+fn trail_string(bytes: io::Result<Vec<u8>>) -> String {
+    let bytes = bytes.expect("writing into a Vec cannot fail");
+    String::from_utf8(bytes).expect("the trail writer emits UTF-8")
+}
+
+/// Creates `path` (and its parent directories) for a streamed trail.
+fn trail_file(path: &Path) -> io::Result<BufWriter<File>> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    Ok(BufWriter::new(File::create(path)?))
+}
+
+/// Streams the suite-mode `cesrm-digest/1` document into `out`.
+fn write_suite_trail<W: Write>(out: W, cfg: &SuiteConfig, result: &SuiteResult) -> io::Result<W> {
     assert!(
         !result.digests.is_empty(),
         "suite_digest_json needs a suite run with digest set"
@@ -142,126 +140,192 @@ pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
         top = fold64(top, run.hash);
         total += run.count;
     }
-    let runs: Vec<JsonValue> = result
-        .digests
-        .iter()
-        .map(|d| {
-            let mut members = vec![
-                ("trace", uint(d.trace as u64)),
-                ("name", str_val(d.name)),
-                ("protocol", str_val(d.protocol)),
-            ];
-            members.extend(levels_members(&d.snapshot));
-            obj(members)
-        })
-        .collect();
     let granularity = &result.digests[0].snapshot;
-    let doc = obj(vec![
-        ("schema", str_val(DIGEST_SCHEMA)),
-        ("mode", str_val("suite")),
-        (
-            "suite",
-            obj(vec![
-                ("scale", JsonValue::Num(cfg.scale)),
-                ("seed", uint(cfg.seed)),
-                (
-                    "traces",
-                    cfg.traces.as_ref().map_or(JsonValue::Null, |only| {
-                        JsonValue::Arr(only.iter().map(|&t| uint(t as u64)).collect())
-                    }),
-                ),
-                // Deliberately NOT recorded: the worker count (`--jobs`).
-                // The trail must be byte-identical at any parallelism —
-                // that identity is the determinism oracle — and a replay
-                // reproduces the same events at any worker count.
-            ]),
-        ),
+    let mut w = PrettyWriter::new(out);
+    w.value(Emit::Obj)?;
+    w.members(&[
+        ("schema", Emit::Str(DIGEST_SCHEMA)),
+        ("mode", Emit::Str("suite")),
+        ("suite", Emit::Obj),
+    ])?;
+    w.members(&[("scale", Emit::Num(cfg.scale)), ("seed", uint(cfg.seed))])?;
+    match &cfg.traces {
+        Some(only) => {
+            w.members(&[("traces", Emit::Arr)])?;
+            for &t in only {
+                w.element(uint(t as u64))?;
+            }
+            w.end()?;
+        }
+        None => w.members(&[("traces", Emit::Null)])?,
+    }
+    // Deliberately NOT recorded: the worker count (`--jobs`). The trail
+    // must be byte-identical at any parallelism — that identity is the
+    // determinism oracle — and a replay reproduces the same events at any
+    // worker count.
+    w.end()?; // suite
+    w.members(&[
         ("epoch_ns", uint(granularity.epoch_ns)),
         ("bucket_ns", uint(granularity.bucket_ns)),
-        ("digest", hex(top)),
+        ("digest", Emit::Hex(top)),
         ("records", uint(total)),
-        ("runs", JsonValue::Arr(runs)),
-    ]);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    text
-}
-
-/// Writes [`suite_digest_json`] to `path`, creating parent directories.
-pub fn write_suite_digest(path: &Path, cfg: &SuiteConfig, result: &SuiteResult) -> io::Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
+        ("runs", Emit::Arr),
+    ])?;
+    for d in &result.digests {
+        w.element(Emit::Obj)?;
+        w.members(&[
+            ("trace", uint(d.trace as u64)),
+            ("name", Emit::Str(d.name)),
+            ("protocol", Emit::Str(d.protocol)),
+        ])?;
+        write_levels(&mut w, &d.snapshot)?;
+        w.end()?;
     }
-    let mut out = std::fs::File::create(path)?;
-    out.write_all(suite_digest_json(cfg, result).as_bytes())?;
-    out.flush()
+    w.end()?; // runs
+    w.end()?; // document
+    finish_trail(w)
 }
 
-/// Renders one scale rung's digest levels as a trail fragment: the rung
-/// configuration a replay needs, the per-root-subtree group digests (the
-/// trail's "shard" level — a pure tree function, so it is identical at
-/// any physical shard count) and the per-epoch levels.
+/// Renders a suite run's digest trail as the `cesrm-digest/1` document:
+/// one entry per (trace × protocol) run in slot order, each carrying its
+/// per-epoch / per-node / per-bucket digests plus the configuration a
+/// replay needs.
+///
+/// # Panics
+/// Panics when the suite ran without [`SuiteConfig::digest`].
+pub fn suite_digest_json(cfg: &SuiteConfig, result: &SuiteResult) -> String {
+    trail_string(write_suite_trail(Vec::new(), cfg, result))
+}
+
+/// Streams [`suite_digest_json`]'s document to `path`, creating parent
+/// directories; the document is never held in memory whole.
+///
+/// # Panics
+/// Panics when the suite ran without [`SuiteConfig::digest`].
+pub fn write_suite_digest(path: &Path, cfg: &SuiteConfig, result: &SuiteResult) -> io::Result<()> {
+    write_suite_trail(trail_file(path)?, cfg, result).map(drop)
+}
+
+/// One scale rung's digest levels: the rung configuration a replay needs,
+/// its merged digest snapshot and its per-root-subtree group digests (the
+/// trail's "shard" level — a pure tree function, so it is identical at any
+/// physical shard count).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RungDigest {
+    /// Receiver count of the rung.
+    pub receivers: u64,
+    /// Injected losses.
+    pub losses: u32,
+    /// The rung's merged digest snapshot.
+    pub snapshot: DigestSnapshot,
+    /// `(group, digest)` per root-subtree group, ascending.
+    pub groups: Vec<(u32, LevelDigest)>,
+}
+
+/// The digest levels of one scale rung, as the scale-mode trail
+/// ([`scale_digest_doc`]) records them.
 ///
 /// # Panics
 /// Panics when the rung ran without [`ScaleConfig::digest`].
-pub fn rung_digest_json(cfg: &ScaleConfig, result: &ScaleResult) -> JsonValue {
-    let snap = result
+pub fn rung_digest(cfg: &ScaleConfig, result: &ScaleResult) -> RungDigest {
+    let snapshot = result
         .digest
-        .as_ref()
-        .expect("rung_digest_json needs a rung run with digest set");
-    let groups: Vec<JsonValue> = result
-        .digest_groups
-        .iter()
-        .map(|&(g, d)| {
-            obj(vec![
-                ("group", uint(u64::from(g))),
-                ("digest", hex(d.hash)),
-                ("records", uint(d.count)),
-            ])
-        })
-        .collect();
-    // The physical shard count is deliberately NOT recorded: the trail
-    // must be byte-identical at any sharding — that identity is the
-    // determinism oracle. A `reproduce diff` replay runs unsharded; the
-    // scale identity check pins each side's shard count itself.
-    let mut members = vec![
-        ("receivers", uint(cfg.receivers)),
-        ("losses", uint(u64::from(cfg.losses))),
-        ("epoch_ns", uint(snap.epoch_ns)),
-        ("bucket_ns", uint(snap.bucket_ns)),
-    ];
-    members.extend(levels_members(snap));
-    members.push(("groups", JsonValue::Arr(groups)));
-    obj(members)
+        .clone()
+        .expect("rung_digest needs a rung run with digest set");
+    RungDigest {
+        receivers: cfg.receivers,
+        losses: cfg.losses,
+        snapshot,
+        groups: result.digest_groups.clone(),
+    }
 }
 
-/// Wraps per-rung fragments ([`rung_digest_json`]) into the scale-mode
-/// `cesrm-digest/1` document.
-pub fn scale_digest_doc(protocol: &str, seed: u64, packets: u64, rungs: Vec<JsonValue>) -> String {
+/// Streams the scale-mode `cesrm-digest/1` document into `out`.
+fn write_scale_trail<W: Write>(
+    out: W,
+    protocol: &str,
+    seed: u64,
+    packets: u64,
+    rungs: &[RungDigest],
+) -> io::Result<W> {
     let mut top = 0u64;
     let mut total = 0u64;
-    for r in &rungs {
-        top = fold64(top, parse_hex(r.get("digest")).unwrap_or(0));
-        total += r.get("records").and_then(JsonValue::as_u64).unwrap_or(0);
+    for r in rungs {
+        let run = r.snapshot.run_digest();
+        top = fold64(top, run.hash);
+        total += run.count;
     }
-    let doc = obj(vec![
-        ("schema", str_val(DIGEST_SCHEMA)),
-        ("mode", str_val("scale")),
-        (
-            "sweep",
-            obj(vec![
-                ("protocol", str_val(protocol)),
-                ("seed", uint(seed)),
-                ("packets", uint(packets)),
-            ]),
-        ),
-        ("digest", hex(top)),
+    let mut w = PrettyWriter::new(out);
+    w.value(Emit::Obj)?;
+    w.members(&[
+        ("schema", Emit::Str(DIGEST_SCHEMA)),
+        ("mode", Emit::Str("scale")),
+        ("sweep", Emit::Obj),
+    ])?;
+    w.members(&[
+        ("protocol", Emit::Str(protocol)),
+        ("seed", uint(seed)),
+        ("packets", uint(packets)),
+    ])?;
+    w.end()?; // sweep
+    w.members(&[
+        ("digest", Emit::Hex(top)),
         ("records", uint(total)),
-        ("rungs", JsonValue::Arr(rungs)),
-    ]);
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    text
+        ("rungs", Emit::Arr),
+    ])?;
+    for r in rungs {
+        // The physical shard count is deliberately NOT recorded: the trail
+        // must be byte-identical at any sharding — that identity is the
+        // determinism oracle. A `reproduce diff` replay runs unsharded;
+        // the scale identity check pins each side's shard count itself.
+        w.element(Emit::Obj)?;
+        w.members(&[
+            ("receivers", uint(r.receivers)),
+            ("losses", uint(u64::from(r.losses))),
+            ("epoch_ns", uint(r.snapshot.epoch_ns)),
+            ("bucket_ns", uint(r.snapshot.bucket_ns)),
+        ])?;
+        write_levels(&mut w, &r.snapshot)?;
+        w.members(&[("groups", Emit::Arr)])?;
+        for &(g, d) in &r.groups {
+            w.element(Emit::Obj)?;
+            w.members(&[
+                ("group", uint(u64::from(g))),
+                ("digest", Emit::Hex(d.hash)),
+                ("records", uint(d.count)),
+            ])?;
+            w.end()?;
+        }
+        w.end()?; // groups
+        w.end()?; // rung
+    }
+    w.end()?; // rungs
+    w.end()?; // document
+    finish_trail(w)
+}
+
+/// Renders the scale-mode `cesrm-digest/1` document over per-rung digest
+/// levels ([`rung_digest`]).
+pub fn scale_digest_doc(protocol: &str, seed: u64, packets: u64, rungs: &[RungDigest]) -> String {
+    trail_string(write_scale_trail(
+        Vec::new(),
+        protocol,
+        seed,
+        packets,
+        rungs,
+    ))
+}
+
+/// Streams [`scale_digest_doc`]'s document to `path`, creating parent
+/// directories.
+pub fn write_scale_digest(
+    path: &Path,
+    protocol: &str,
+    seed: u64,
+    packets: u64,
+    rungs: &[RungDigest],
+) -> io::Result<()> {
+    write_scale_trail(trail_file(path)?, protocol, seed, packets, rungs).map(drop)
 }
 
 // ---------------------------------------------------------------------------
@@ -914,7 +978,339 @@ pub fn aligned_event_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{DigestRecorder, Event};
+    use obs::{DigestRecorder, Event, LeafDigest};
+    use proptest::prelude::*;
+
+    /// The `JsonValue`-tree renderer the streaming writers replaced, with
+    /// its per-epoch and per-node full scans, kept as the byte-for-byte
+    /// reference they must match.
+    mod reference {
+        use super::super::*;
+        use obs::LeafDigest;
+
+        fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
+            JsonValue::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
+
+        fn uint(n: u64) -> JsonValue {
+            JsonValue::Num(n as f64)
+        }
+
+        fn str_val(s: &str) -> JsonValue {
+            JsonValue::Str(s.to_string())
+        }
+
+        fn hex(h: u64) -> JsonValue {
+            JsonValue::Str(format!("{h:016x}"))
+        }
+
+        fn fold(leaves: impl Iterator<Item = LeafDigest>) -> LevelDigest {
+            LevelDigest::of(&leaves.collect::<Vec<_>>())
+        }
+
+        fn levels_members(snap: &DigestSnapshot) -> Vec<(&'static str, JsonValue)> {
+            let run = snap.run_digest();
+            let mut epochs: Vec<u64> = snap.leaves.iter().map(|l| l.epoch).collect();
+            epochs.dedup();
+            let epochs: Vec<JsonValue> = epochs
+                .into_iter()
+                .map(|e| {
+                    let d = fold(snap.leaves.iter().copied().filter(|l| l.epoch == e));
+                    let mut nodes: Vec<u32> = snap
+                        .leaves
+                        .iter()
+                        .filter(|l| l.epoch == e)
+                        .map(|l| l.node)
+                        .collect();
+                    nodes.dedup();
+                    let nodes: Vec<JsonValue> = nodes
+                        .into_iter()
+                        .map(|n| {
+                            let in_node = |l: &LeafDigest| l.epoch == e && l.node == n;
+                            let nd = fold(snap.leaves.iter().copied().filter(in_node));
+                            let buckets: Vec<JsonValue> = snap
+                                .leaves
+                                .iter()
+                                .filter(|l| in_node(l))
+                                .map(|l| {
+                                    obj(vec![
+                                        ("bucket", uint(l.bucket)),
+                                        ("digest", hex(l.hash)),
+                                        ("records", uint(l.count)),
+                                    ])
+                                })
+                                .collect();
+                            obj(vec![
+                                ("node", uint(u64::from(n))),
+                                ("digest", hex(nd.hash)),
+                                ("records", uint(nd.count)),
+                                ("buckets", JsonValue::Arr(buckets)),
+                            ])
+                        })
+                        .collect();
+                    obj(vec![
+                        ("epoch", uint(e)),
+                        ("digest", hex(d.hash)),
+                        ("records", uint(d.count)),
+                        ("nodes", JsonValue::Arr(nodes)),
+                    ])
+                })
+                .collect();
+            vec![
+                ("digest", hex(run.hash)),
+                ("records", uint(run.count)),
+                ("epochs", JsonValue::Arr(epochs)),
+            ]
+        }
+
+        fn finish(doc: JsonValue) -> String {
+            let mut text = doc.to_string_pretty();
+            text.push('\n');
+            text
+        }
+
+        pub fn suite(cfg: &SuiteConfig, result: &SuiteResult) -> String {
+            let mut top = 0u64;
+            let mut total = 0u64;
+            for d in &result.digests {
+                let run = d.snapshot.run_digest();
+                top = fold64(top, run.hash);
+                total += run.count;
+            }
+            let runs: Vec<JsonValue> = result
+                .digests
+                .iter()
+                .map(|d| {
+                    let mut members = vec![
+                        ("trace", uint(d.trace as u64)),
+                        ("name", str_val(d.name)),
+                        ("protocol", str_val(d.protocol)),
+                    ];
+                    members.extend(levels_members(&d.snapshot));
+                    obj(members)
+                })
+                .collect();
+            let granularity = &result.digests[0].snapshot;
+            finish(obj(vec![
+                ("schema", str_val(DIGEST_SCHEMA)),
+                ("mode", str_val("suite")),
+                (
+                    "suite",
+                    obj(vec![
+                        ("scale", JsonValue::Num(cfg.scale)),
+                        ("seed", uint(cfg.seed)),
+                        (
+                            "traces",
+                            cfg.traces.as_ref().map_or(JsonValue::Null, |only| {
+                                JsonValue::Arr(only.iter().map(|&t| uint(t as u64)).collect())
+                            }),
+                        ),
+                    ]),
+                ),
+                ("epoch_ns", uint(granularity.epoch_ns)),
+                ("bucket_ns", uint(granularity.bucket_ns)),
+                ("digest", hex(top)),
+                ("records", uint(total)),
+                ("runs", JsonValue::Arr(runs)),
+            ]))
+        }
+
+        fn rung(r: &RungDigest) -> JsonValue {
+            let groups: Vec<JsonValue> = r
+                .groups
+                .iter()
+                .map(|&(g, d)| {
+                    obj(vec![
+                        ("group", uint(u64::from(g))),
+                        ("digest", hex(d.hash)),
+                        ("records", uint(d.count)),
+                    ])
+                })
+                .collect();
+            let mut members = vec![
+                ("receivers", uint(r.receivers)),
+                ("losses", uint(u64::from(r.losses))),
+                ("epoch_ns", uint(r.snapshot.epoch_ns)),
+                ("bucket_ns", uint(r.snapshot.bucket_ns)),
+            ];
+            members.extend(levels_members(&r.snapshot));
+            members.push(("groups", JsonValue::Arr(groups)));
+            obj(members)
+        }
+
+        pub fn scale(protocol: &str, seed: u64, packets: u64, rungs: &[RungDigest]) -> String {
+            let rungs: Vec<JsonValue> = rungs.iter().map(rung).collect();
+            let mut top = 0u64;
+            let mut total = 0u64;
+            for r in &rungs {
+                top = fold64(top, parse_hex(r.get("digest")).unwrap_or(0));
+                total += r.get("records").and_then(JsonValue::as_u64).unwrap_or(0);
+            }
+            finish(obj(vec![
+                ("schema", str_val(DIGEST_SCHEMA)),
+                ("mode", str_val("scale")),
+                (
+                    "sweep",
+                    obj(vec![
+                        ("protocol", str_val(protocol)),
+                        ("seed", uint(seed)),
+                        ("packets", uint(packets)),
+                    ]),
+                ),
+                ("digest", hex(top)),
+                ("records", uint(total)),
+                ("rungs", JsonValue::Arr(rungs)),
+            ]))
+        }
+    }
+
+    /// Canonically sorted, duplicate-free leaves from raw draws. Node 4
+    /// stands for `u32::MAX`; every fifth hash is 0 and every fifth
+    /// `u64::MAX`, so the hex and fold edges are always in play.
+    fn leaves_from(raw: Vec<(u64, u32, u64, u64, u64)>) -> Vec<LeafDigest> {
+        let mut leaves: Vec<LeafDigest> = raw
+            .into_iter()
+            .map(|(epoch, node, bucket, bits, count)| LeafDigest {
+                epoch,
+                node: if node == 4 { u32::MAX } else { node },
+                bucket: epoch * 10 + bucket,
+                hash: match bits % 5 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => bits,
+                },
+                count,
+            })
+            .collect();
+        leaves.sort_unstable_by_key(|l| (l.epoch, l.node, l.bucket));
+        leaves.dedup_by_key(|l| (l.epoch, l.node, l.bucket));
+        leaves
+    }
+
+    /// Up to 60 raw leaves over 4 epochs × 5 nodes × 6 buckets: from no
+    /// leaves at all to many per level.
+    fn raw_leaves() -> impl Strategy<Value = Vec<(u64, u32, u64, u64, u64)>> {
+        proptest::collection::vec(
+            (0u64..4, 0u32..5, 0u64..6, any::<u64>(), 1u64..2_000),
+            0..60,
+        )
+    }
+
+    fn snapshot(raw: Vec<(u64, u32, u64, u64, u64)>) -> DigestSnapshot {
+        DigestSnapshot {
+            epoch_ns: obs::DEFAULT_EPOCH_NS,
+            bucket_ns: obs::DEFAULT_BUCKET_NS,
+            leaves: leaves_from(raw),
+        }
+    }
+
+    fn suite_result(cfg: &SuiteConfig, snapshots: Vec<DigestSnapshot>) -> SuiteResult {
+        SuiteResult {
+            scale: cfg.scale,
+            pairs: Vec::new(),
+            events: Vec::new(),
+            profiles: Vec::new(),
+            profs: Vec::new(),
+            health: Vec::new(),
+            digests: snapshots
+                .into_iter()
+                .enumerate()
+                .map(|(i, snapshot)| crate::suite::RunDigest {
+                    trace: 4 + i,
+                    name: "WRN950919",
+                    protocol: if i % 2 == 0 { "SRM" } else { "CESRM" },
+                    snapshot,
+                })
+                .collect(),
+            timing: crate::runner::SuiteTiming {
+                jobs: 1,
+                wall: std::time::Duration::ZERO,
+                runs: Vec::new(),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn streamed_suite_trail_matches_the_tree_renderer(
+            a in raw_leaves(),
+            b in raw_leaves(),
+            one in (0u64..4, 0u32..5, 0u64..6, any::<u64>(), 1u64..2_000),
+            only in any::<bool>(),
+        ) {
+            let mut cfg = SuiteConfig::quick(0.25);
+            cfg.traces = only.then(|| vec![4, 13]);
+            // No leaves, one leaf, and two arbitrary runs.
+            let snaps = vec![snapshot(Vec::new()), snapshot(vec![one]), snapshot(a), snapshot(b)];
+            let result = suite_result(&cfg, snaps);
+            prop_assert_eq!(suite_digest_json(&cfg, &result), reference::suite(&cfg, &result));
+        }
+
+        #[test]
+        fn streamed_scale_trail_matches_the_tree_renderer(
+            a in raw_leaves(),
+            b in raw_leaves(),
+            groups in proptest::collection::vec((0u32..8, any::<u64>(), 0u64..5_000), 0..6),
+            seed in any::<u64>(),
+        ) {
+            let rung = |receivers: u64, raw, groups: &[(u32, u64, u64)]| RungDigest {
+                receivers,
+                losses: (receivers % 7) as u32,
+                snapshot: DigestSnapshot {
+                    epoch_ns: 2_100_000,
+                    bucket_ns: obs::DEFAULT_BUCKET_NS,
+                    leaves: leaves_from(raw),
+                },
+                groups: groups
+                    .iter()
+                    .map(|&(g, hash, count)| (g, LevelDigest { hash, count }))
+                    .collect(),
+            };
+            let seed = seed >> 12; // trail numbers are f64: keep the seed exact
+            for rungs in [
+                Vec::new(),
+                vec![rung(1_000, a.clone(), &groups)],
+                vec![rung(120, Vec::new(), &[]), rung(1_000, a, &groups), rung(10_000, b, &groups)],
+            ] {
+                prop_assert_eq!(
+                    scale_digest_doc("cesrm", seed, 12, &rungs),
+                    reference::scale("cesrm", seed, 12, &rungs)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn file_trails_match_the_in_memory_documents() {
+        let dir = std::env::temp_dir().join(format!("cesrm-digest-unit-{}", std::process::id()));
+        let cfg = SuiteConfig::quick(0.01);
+        let result = suite_result(&cfg, vec![snapshot(vec![(1, 2, 3, 4, 5), (0, 4, 0, 0, 1)])]);
+        let suite_path = dir.join("nested").join("suite.json");
+        write_suite_digest(&suite_path, &cfg, &result).expect("writable temp dir");
+        let rungs = [rung_of(&result.digests[0].snapshot)];
+        let scale_path = dir.join("scale.json");
+        write_scale_digest(&scale_path, "srm", 7, 3, &rungs).expect("writable temp dir");
+        let read = |p: &Path| std::fs::read_to_string(p).expect("trail written");
+        assert_eq!(read(&suite_path), suite_digest_json(&cfg, &result));
+        assert_eq!(read(&scale_path), scale_digest_doc("srm", 7, 3, &rungs));
+        std::fs::remove_dir_all(&dir).expect("temp dir removable");
+    }
+
+    fn rung_of(snapshot: &DigestSnapshot) -> RungDigest {
+        RungDigest {
+            receivers: 120,
+            losses: 2,
+            snapshot: snapshot.clone(),
+            groups: vec![(0, snapshot.run_digest())],
+        }
+    }
 
     fn rec(t_ns: u64, node: u32, seq: u64) -> Record {
         Record {
@@ -936,25 +1332,7 @@ mod tests {
         cfg.traces = Some(vec![4]);
         cfg.jobs = jobs;
         cfg.digest = true;
-        let result = SuiteResult {
-            scale: cfg.scale,
-            pairs: Vec::new(),
-            events: Vec::new(),
-            profiles: Vec::new(),
-            profs: Vec::new(),
-            health: Vec::new(),
-            digests: vec![crate::suite::RunDigest {
-                trace: 4,
-                name: "WRN950919",
-                protocol: "SRM",
-                snapshot,
-            }],
-            timing: crate::runner::SuiteTiming {
-                jobs: 1,
-                wall: std::time::Duration::ZERO,
-                runs: Vec::new(),
-            },
-        };
+        let result = suite_result(&cfg, vec![snapshot]);
         JsonValue::parse(&suite_digest_json(&cfg, &result)).expect("well-formed trail")
     }
 

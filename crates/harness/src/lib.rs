@@ -66,8 +66,9 @@ pub use bench_report::{
     VOLATILE_FIELDS,
 };
 pub use digest::{
-    aligned_event_diff, diff_trails, rung_digest_json, scale_digest_doc, suite_digest_json,
-    write_suite_digest, DiffOutcome, Divergence, ReplaySpec, WindowSink, DIGEST_SCHEMA,
+    aligned_event_diff, diff_trails, rung_digest, scale_digest_doc, suite_digest_json,
+    write_scale_digest, write_suite_digest, DiffOutcome, Divergence, ReplaySpec, RungDigest,
+    WindowSink, DIGEST_SCHEMA,
 };
 pub use experiment::{
     run_trace, run_trace_instrumented, run_trace_profiled, run_trace_traced, ExperimentConfig,

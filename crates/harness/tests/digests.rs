@@ -4,8 +4,8 @@
 //! (epoch, node, bucket) window of the first divergent event.
 
 use harness::{
-    diff_trails, run_scale, run_suite, rung_digest_json, suite_digest_json, DiffOutcome,
-    ScaleConfig, SuiteConfig,
+    diff_trails, run_scale, run_suite, rung_digest, scale_digest_doc, suite_digest_json,
+    DiffOutcome, ScaleConfig, SuiteConfig,
 };
 use proptest::prelude::*;
 
@@ -42,8 +42,7 @@ proptest! {
     }
 }
 
-/// The scale-mode trail fragment is byte-identical at shard counts 1, 2
-/// and 3 — the digest epoch width is the sharding lookahead and the
+/// The scale-mode trail is byte-identical at shard counts 1, 2 and 3 — the digest epoch width is the sharding lookahead and the
 /// "shard" level is the root-subtree partition, both pure functions of
 /// the topology.
 #[test]
@@ -53,7 +52,8 @@ fn scale_trail_is_byte_identical_at_any_shard_count() {
         cfg.shards = shards;
         cfg.packets = 8;
         cfg.digest = true;
-        rung_digest_json(&cfg, &run_scale(&cfg)).to_string_pretty()
+        let rung = rung_digest(&cfg, &run_scale(&cfg));
+        scale_digest_doc("cesrm", cfg.seed, cfg.packets, &[rung])
     };
     let unsharded = rung(1);
     assert_eq!(unsharded, rung(2), "trail diverged between 1 and 2 shards");
@@ -62,6 +62,30 @@ fn scale_trail_is_byte_identical_at_any_shard_count() {
         unsharded.contains("groups"),
         "trail carries the subtree level"
     );
+}
+
+/// FNV-1a 64 of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The trail of `reproduce --scale 0.01 --traces 4,13 --digest F` is
+/// pinned to the bytes the `JsonValue`-tree renderer produced before
+/// rendering became a streaming pass (729,857 bytes), and it survives a
+/// parse / pretty-print round trip unchanged.
+#[test]
+fn small_suite_trail_keeps_its_recorded_bytes() {
+    let mut cfg = SuiteConfig::paper_default();
+    cfg.scale = 0.01;
+    cfg.traces = Some(vec![4, 13]);
+    cfg.digest = true;
+    let trail = suite_digest_json(&cfg, &run_suite(&cfg));
+    assert_eq!(trail.len(), 729_857);
+    assert_eq!(fnv1a(trail.as_bytes()), 0x76a8_dac7_cd97_b4ba);
+    let parsed = obs::JsonValue::parse(&trail).expect("trails are well-formed JSON");
+    assert_eq!(parsed.to_string_pretty() + "\n", trail);
 }
 
 /// Flipping exactly one event in a real run's digested stream is

@@ -4,10 +4,11 @@
 //! ([`crate::TraceHandle::with_digest`]) and folds every emitted
 //! [`Record`] into a deterministic 64-bit digest at the finest useful
 //! granularity: the *(epoch, node, time-bucket)* leaf. Coarser digests —
-//! per node, per time bucket, per epoch, per run — are derived from the
-//! leaves on demand, so a divergence between two runs can be bisected
-//! top-down (run → shard → epoch → node × bucket) instead of staring at an
-//! md5 mismatch on a finished CSV (`docs/DEBUGGING.md` walks through it).
+//! per node within an epoch, per epoch, per run — are folded from
+//! contiguous spans of the sorted leaves on demand, so a divergence
+//! between two runs can be bisected top-down (run → shard → epoch → node ×
+//! bucket) instead of staring at an md5 mismatch on a finished CSV
+//! (`docs/DEBUGGING.md` walks through it).
 //!
 //! # Shard-count invariance
 //!
@@ -287,6 +288,33 @@ pub struct DigestSnapshot {
     pub leaves: Vec<LeafDigest>,
 }
 
+/// One epoch's leaves in a [`DigestSnapshot`]: a contiguous,
+/// `(node, bucket)`-sorted slice of [`DigestSnapshot::leaves`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EpochSpan<'a> {
+    /// Epoch index.
+    pub epoch: u64,
+    /// The epoch's leaves, never empty.
+    pub leaves: &'a [LeafDigest],
+}
+
+impl<'a> EpochSpan<'a> {
+    /// The epoch's per-node spans, ascending by node id: `(node, leaves)`
+    /// with the node's leaves in bucket order.
+    pub fn nodes(&self) -> impl Iterator<Item = (u32, &'a [LeafDigest])> {
+        self.leaves
+            .chunk_by(|a, b| a.node == b.node)
+            .map(|leaves| (leaves[0].node, leaves))
+    }
+}
+
+impl LevelDigest {
+    /// Folds a canonically ordered run of leaves into one level digest.
+    pub fn of(leaves: &[LeafDigest]) -> LevelDigest {
+        fold_level(leaves.iter())
+    }
+}
+
 fn fold_level<'a, I: Iterator<Item = &'a LeafDigest>>(leaves: I) -> LevelDigest {
     let mut h = FxHasher::default();
     let mut count = 0u64;
@@ -312,53 +340,20 @@ impl DigestSnapshot {
 
     /// The whole-run digest: a fold over every leaf in canonical order.
     pub fn run_digest(&self) -> LevelDigest {
-        fold_level(self.leaves.iter())
+        LevelDigest::of(&self.leaves)
     }
 
-    /// Epoch indices present, ascending.
-    pub fn epochs(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.leaves.iter().map(|l| l.epoch).collect();
-        out.dedup();
-        out
-    }
-
-    /// The digest of one epoch (identity fold when the epoch is absent).
-    pub fn epoch_digest(&self, epoch: u64) -> LevelDigest {
-        fold_level(self.leaves.iter().filter(|l| l.epoch == epoch))
-    }
-
-    /// Per-node digests within one epoch, sorted by node id.
-    pub fn nodes_in_epoch(&self, epoch: u64) -> Vec<(u32, LevelDigest)> {
-        // Leaves are (epoch, node, bucket)-sorted, so the epoch's leaves
-        // form node-contiguous spans.
-        let leaves: Vec<&LeafDigest> = self.leaves.iter().filter(|l| l.epoch == epoch).collect();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < leaves.len() {
-            let node = leaves[i].node;
-            let mut j = i;
-            while j < leaves.len() && leaves[j].node == node {
-                j += 1;
-            }
-            out.push((node, fold_level(leaves[i..j].iter().copied())));
-            i = j;
-        }
-        out
-    }
-
-    /// Per-time-bucket digests within one epoch, sorted by bucket index.
-    pub fn buckets_in_epoch(&self, epoch: u64) -> Vec<(u64, LevelDigest)> {
-        let mut spans: Vec<(u64, Vec<&LeafDigest>)> = Vec::new();
-        for leaf in self.leaves.iter().filter(|l| l.epoch == epoch) {
-            match spans.binary_search_by_key(&leaf.bucket, |&(b, _)| b) {
-                Ok(i) => spans[i].1.push(leaf),
-                Err(i) => spans.insert(i, (leaf.bucket, vec![leaf])),
-            }
-        }
-        spans
-            .into_iter()
-            .map(|(bucket, leaves)| (bucket, fold_level(leaves.into_iter())))
-            .collect()
+    /// The leaves as one walk over contiguous per-epoch spans, ascending.
+    /// Leaves are `(epoch, node, bucket)`-sorted, so every level of the
+    /// hierarchy is a span of the leaf slice and the whole walk, with its
+    /// [`EpochSpan::nodes`] and their leaves, visits each leaf once.
+    pub fn epoch_spans(&self) -> impl Iterator<Item = EpochSpan<'_>> {
+        self.leaves
+            .chunk_by(|a, b| a.epoch == b.epoch)
+            .map(|leaves| EpochSpan {
+                epoch: leaves[0].epoch,
+                leaves,
+            })
     }
 
     /// Digests grouped by an arbitrary node partition (e.g. the scale
@@ -622,9 +617,50 @@ mod tests {
         let keys: Vec<(u64, u32, u64)> = snap.leaves.iter().map(LeafDigest::key).collect();
         assert_eq!(keys, vec![(0, 1, 0), (0, 1, 1), (1, 2, 12)]);
         assert_eq!(snap.count(), 3);
-        assert_eq!(snap.epochs(), vec![0, 1]);
-        assert_eq!(snap.nodes_in_epoch(0).len(), 1);
-        assert_eq!(snap.buckets_in_epoch(0).len(), 2);
+        let epochs: Vec<EpochSpan<'_>> = snap.epoch_spans().collect();
+        assert_eq!(epochs.iter().map(|e| e.epoch).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(epochs[0].nodes().count(), 1);
+        let buckets: Vec<u64> = epochs[0].leaves.iter().map(|l| l.bucket).collect();
+        assert_eq!(buckets, [0, 1], "epoch 0 holds two buckets");
+    }
+
+    /// Each level digest of the span walk is the fold over exactly the
+    /// leaves a full scan filters for that level, in canonical order.
+    #[test]
+    fn span_walk_folds_the_same_leaves_as_a_full_scan() {
+        let mut r = DigestRecorder::new(1_000, 100);
+        for (t, node) in [
+            (10, 3),
+            (20, 1),
+            (150, 1),
+            (990, 3),
+            (1_005, 2),
+            (2_500, 1),
+            (2_510, 9),
+        ] {
+            r.observe(&rec(t, node, t));
+        }
+        let snap = r.snapshot();
+        let scan = |keep: &dyn Fn(&LeafDigest) -> bool| {
+            let kept: Vec<LeafDigest> = snap.leaves.iter().copied().filter(|l| keep(l)).collect();
+            LevelDigest::of(&kept)
+        };
+        let mut seen = 0;
+        for span in snap.epoch_spans() {
+            assert_eq!(
+                LevelDigest::of(span.leaves),
+                scan(&|l| l.epoch == span.epoch)
+            );
+            for (node, leaves) in span.nodes() {
+                assert_eq!(
+                    LevelDigest::of(leaves),
+                    scan(&|l| l.epoch == span.epoch && l.node == node)
+                );
+                seen += leaves.len();
+            }
+        }
+        assert_eq!(seen, snap.leaves.len(), "the walk visits every leaf once");
+        assert_eq!(snap.epoch_spans().count(), 3);
     }
 
     #[test]
@@ -664,10 +700,24 @@ mod tests {
         b.observe(&rec(1_160, 2, 9)); // extra event in epoch 1, node 2, bucket 11
         let (sa, sb) = (a.snapshot(), b.snapshot());
         assert_ne!(sa.run_digest(), sb.run_digest());
-        assert_eq!(sa.epoch_digest(0), sb.epoch_digest(0));
-        assert_ne!(sa.epoch_digest(1), sb.epoch_digest(1));
-        assert_eq!(sa.epoch_digest(2), sb.epoch_digest(2));
-        let (na, nb) = (sa.nodes_in_epoch(1), sb.nodes_in_epoch(1));
+        let epochs = |s: &DigestSnapshot| -> Vec<(u64, LevelDigest)> {
+            s.epoch_spans()
+                .map(|e| (e.epoch, LevelDigest::of(e.leaves)))
+                .collect()
+        };
+        let (ea, eb) = (epochs(&sa), epochs(&sb));
+        assert_eq!(ea.len(), 3);
+        assert_eq!(ea[0], eb[0]);
+        assert_ne!(ea[1], eb[1]);
+        assert_eq!(ea[2], eb[2]);
+        let nodes = |s: &DigestSnapshot| -> Vec<(u32, LevelDigest)> {
+            let epoch_1 = s.epoch_spans().find(|e| e.epoch == 1).expect("epoch 1");
+            epoch_1
+                .nodes()
+                .map(|(node, leaves)| (node, LevelDigest::of(leaves)))
+                .collect()
+        };
+        let (na, nb) = (nodes(&sa), nodes(&sb));
         assert_ne!(na, nb);
         assert_eq!(na[0].0, 2, "the divergent node is node 2");
     }

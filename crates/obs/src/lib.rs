@@ -46,7 +46,8 @@
 //!   into mergeable [`MetricsSnapshot`]s for the perf baseline
 //!   (`BENCH_*.json`, schema in `docs/METRICS.md`).
 //! * [`value`] — a serde-free JSON document model ([`JsonValue`]) used by
-//!   the baseline comparator to read reports back.
+//!   the baseline comparator to read reports back, and the streaming
+//!   [`PrettyWriter`] every pretty-printed report goes through.
 //!
 //! This crate is dependency-free by design (node ids are `u32`, sequence
 //! numbers `u64`, timestamps nanoseconds since simulation start) so every
@@ -86,7 +87,8 @@ mod sink;
 pub mod value;
 
 pub use digest::{
-    DigestRecorder, DigestSnapshot, LeafDigest, LevelDigest, DEFAULT_BUCKET_NS, DEFAULT_EPOCH_NS,
+    DigestRecorder, DigestSnapshot, EpochSpan, LeafDigest, LevelDigest, DEFAULT_BUCKET_NS,
+    DEFAULT_EPOCH_NS,
 };
 pub use event::{Cast, Event, PacketClass, Record};
 pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_CAPACITY, DUMP_TAIL};
@@ -104,4 +106,4 @@ pub use registry::{
     QuantileSketch, Sketch,
 };
 pub use sink::{EventSink, JsonlSink, MemorySink, NoopSink, RingSink, TraceHandle};
-pub use value::JsonValue;
+pub use value::{Emit, JsonValue, PrettyWriter};

@@ -1,5 +1,7 @@
 //! A minimal JSON document model with a recursive-descent parser and a
-//! byte-stable serializer.
+//! byte-stable serializer, plus [`PrettyWriter`], which streams the same
+//! pretty form without building a tree (the digest trails are tens to
+//! hundreds of megabytes).
 //!
 //! The tracing layer only ever *writes* JSON
 //! ([`to_json_line`](crate::to_json_line)), but the perf-baseline
@@ -13,6 +15,7 @@
 //! scrub-then-compare tests meaningful.
 
 use std::fmt::Write as _;
+use std::io;
 
 /// A parsed JSON value. Objects preserve member order.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,41 +107,14 @@ impl JsonValue {
     /// Serializes with two-space indentation, preserving member order.
     /// Number and string formatting are identical to
     /// [`to_string_compact`](Self::to_string_compact), so the two forms
-    /// parse back to equal values.
+    /// parse back to equal values. This is [`PrettyWriter`] applied to the
+    /// whole tree.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            JsonValue::Arr(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i > 0 { ",\n" } else { "\n" });
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            JsonValue::Obj(members) if !members.is_empty() => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    out.push_str(if i > 0 { ",\n" } else { "\n" });
-                    indent(out, depth + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-            other => other.write(out),
-        }
+        let mut w = PrettyWriter::new(Vec::new());
+        w.value(Emit::Value(self))
+            .expect("writing into a Vec cannot fail");
+        let bytes = w.finish().expect("writing into a Vec cannot fail");
+        String::from_utf8(bytes).expect("the writer emits UTF-8")
     }
 
     fn write(&self, out: &mut String) {
@@ -173,10 +149,177 @@ impl JsonValue {
     }
 }
 
+/// One value for [`PrettyWriter`] to emit.
+#[derive(Clone, Copy, Debug)]
+pub enum Emit<'a> {
+    /// `null`.
+    Null,
+    /// A number, formatted as [`JsonValue::Num`] is.
+    Num(f64),
+    /// A string, escaped as [`JsonValue::Str`] is.
+    Str(&'a str),
+    /// A 64-bit digest as a 16-digit lower-case hex string: the `f64`
+    /// number model cannot carry it losslessly.
+    Hex(u64),
+    /// A whole document tree.
+    Value(&'a JsonValue),
+    /// Opens an array; the caller streams its elements with
+    /// [`PrettyWriter::element`] and closes it with [`PrettyWriter::end`].
+    Arr,
+    /// Opens an object; the caller streams its members with
+    /// [`PrettyWriter::members`] and closes it with [`PrettyWriter::end`].
+    Obj,
+}
+
+/// Streams a document as two-space-indented JSON, byte-identical to
+/// [`JsonValue::to_string_pretty`] of the same tree, without building
+/// the tree. Objects and arrays are opened by [`Emit::Obj`] /
+/// [`Emit::Arr`] in any value position and closed by [`Self::end`];
+/// empty ones print inline (`{}`, `[]`), as in the tree form. Each call
+/// hands its bytes to the sink in one `write_all`, so wrap a file in a
+/// `BufWriter`.
+#[derive(Debug)]
+pub struct PrettyWriter<W: io::Write> {
+    out: W,
+    /// The current call's bytes, reused across calls.
+    buf: String,
+    /// One entry per open container: `(is_object, has_entries)`.
+    open: Vec<(bool, bool)>,
+}
+
+impl<W: io::Write> PrettyWriter<W> {
+    /// A writer with nothing open, emitting into `out`.
+    pub fn new(out: W) -> Self {
+        PrettyWriter {
+            out,
+            buf: String::new(),
+            open: Vec::new(),
+        }
+    }
+
+    /// Writes the document's root value. Elements and members inside it go
+    /// through [`Self::element`] and [`Self::members`].
+    pub fn value(&mut self, value: Emit<'_>) -> io::Result<()> {
+        match value {
+            Emit::Null => self.buf.push_str("null"),
+            Emit::Num(n) => write_num(&mut self.buf, n),
+            Emit::Str(s) => write_str(&mut self.buf, s),
+            Emit::Hex(h) => write_hex(&mut self.buf, h),
+            Emit::Value(JsonValue::Arr(items)) => {
+                self.value(Emit::Arr)?;
+                for item in items {
+                    self.element(Emit::Value(item))?;
+                }
+                return self.end();
+            }
+            Emit::Value(JsonValue::Obj(members)) => {
+                self.value(Emit::Obj)?;
+                for (key, item) in members {
+                    self.key(key);
+                    self.value(Emit::Value(item))?;
+                }
+                return self.end();
+            }
+            Emit::Value(scalar) => scalar.write(&mut self.buf),
+            Emit::Arr => {
+                self.buf.push('[');
+                self.open.push((false, false));
+            }
+            Emit::Obj => {
+                self.buf.push('{');
+                self.open.push((true, false));
+            }
+        }
+        self.emit()
+    }
+
+    /// Writes one element of the innermost open array.
+    ///
+    /// # Panics
+    /// Panics when the innermost open container is not an array.
+    pub fn element(&mut self, value: Emit<'_>) -> io::Result<()> {
+        self.entry(false);
+        self.value(value)
+    }
+
+    /// Writes `("key", value)` members of the innermost open object, in
+    /// order. A container opener ([`Emit::Obj`], [`Emit::Arr`]) may only
+    /// come last: what follows it belongs inside it.
+    ///
+    /// # Panics
+    /// Panics when the innermost open container is not an object.
+    pub fn members(&mut self, members: &[(&str, Emit<'_>)]) -> io::Result<()> {
+        for &(key, value) in members {
+            self.key(key);
+            self.value(value)?;
+        }
+        Ok(())
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Panics
+    /// Panics when nothing is open.
+    pub fn end(&mut self) -> io::Result<()> {
+        let (is_object, has_entries) = self.open.pop().expect("end() with nothing open");
+        if has_entries {
+            self.buf.push('\n');
+            indent(&mut self.buf, self.open.len());
+        }
+        self.buf.push(if is_object { '}' } else { ']' });
+        self.emit()
+    }
+
+    /// Flushes the sink and returns it.
+    ///
+    /// # Panics
+    /// Panics when a container is still open.
+    pub fn finish(mut self) -> io::Result<W> {
+        assert!(self.open.is_empty(), "finish() with a container still open");
+        self.out.flush()?;
+        Ok(self.out)
+    }
+
+    fn key(&mut self, key: &str) {
+        self.entry(true);
+        write_str(&mut self.buf, key);
+        self.buf.push_str(": ");
+    }
+
+    /// Separator and indentation for the next entry of the innermost open
+    /// container, which must be an object iff `object`.
+    fn entry(&mut self, object: bool) {
+        let depth = self.open.len();
+        let (is_object, has_entries) = self.open.last_mut().expect("no container is open");
+        assert_eq!(
+            *is_object, object,
+            "member/element written into the wrong container"
+        );
+        self.buf.push_str(if *has_entries { ",\n" } else { "\n" });
+        *has_entries = true;
+        indent(&mut self.buf, depth);
+    }
+
+    fn emit(&mut self) -> io::Result<()> {
+        self.out.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
     }
+}
+
+fn write_hex(out: &mut String, h: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    for shift in (0..16).rev() {
+        out.push(char::from(DIGITS[(h >> (shift * 4)) as usize & 0xf]));
+    }
+    out.push('"');
 }
 
 fn write_num(out: &mut String, n: f64) {
@@ -292,11 +435,14 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (1–4 bytes).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape. Both
+                // are ASCII, so the run ends on a UTF-8 boundary; validating
+                // only the run keeps parsing linear in the input.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -360,6 +506,183 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The recursive tree printer [`PrettyWriter`] replaced, kept as the
+    /// reference it must match byte for byte.
+    fn reference_pretty(v: &JsonValue, out: &mut String, depth: usize) {
+        match v {
+            JsonValue::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ",\n" } else { "\n" });
+                    indent(out, depth + 1);
+                    reference_pretty(item, out, depth + 1);
+                }
+                out.push('\n');
+                indent(out, depth);
+                out.push(']');
+            }
+            JsonValue::Obj(members) if !members.is_empty() => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { ",\n" } else { "\n" });
+                    indent(out, depth + 1);
+                    write_str(out, k);
+                    out.push_str(": ");
+                    reference_pretty(v, out, depth + 1);
+                }
+                out.push('\n');
+                indent(out, depth);
+                out.push('}');
+            }
+            other => other.write(out),
+        }
+    }
+
+    /// A tree drawn from `bits`: every variant, empty and nested
+    /// containers, integers up to `u64::MAX`, fractions and escapes.
+    fn tree(bits: &mut impl Iterator<Item = u64>, depth: usize) -> JsonValue {
+        const STRS: [&str; 5] = [
+            "",
+            "digest",
+            "quote\" back\\slash",
+            "tab\tnl\n\u{1}",
+            "h\u{e9}llo \u{2713}",
+        ];
+        let b = bits.next().unwrap_or(0);
+        let width = if depth >= 8 { 0 } else { (b >> 8) as usize % 5 };
+        match b % 8 {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(b & 0x100 != 0),
+            2 => JsonValue::Num((b >> 3) as f64),
+            3 => JsonValue::Num(b as f64 / 7.0 - 1e9),
+            4 => JsonValue::Str(STRS[(b >> 3) as usize % STRS.len()].to_string()),
+            5 | 6 => JsonValue::Arr((0..width).map(|_| tree(bits, depth + 1)).collect()),
+            _ => JsonValue::Obj(
+                (0..width)
+                    .map(|i| {
+                        (
+                            STRS[(i + (b >> 12) as usize) % STRS.len()].to_string(),
+                            tree(bits, depth + 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pretty_writer_matches_the_recursive_printer(
+            bits in proptest::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let v = tree(&mut bits.into_iter(), 0);
+            let mut expected = String::new();
+            reference_pretty(&v, &mut expected, 0);
+            prop_assert_eq!(v.to_string_pretty(), expected);
+        }
+    }
+
+    #[test]
+    fn streamed_members_match_the_tree() {
+        let rows = 300u64;
+        let mut w = PrettyWriter::new(Vec::new());
+        w.value(Emit::Obj).unwrap();
+        w.members(&[("schema", Emit::Str("t/1")), ("empty", Emit::Arr)])
+            .unwrap();
+        w.end().unwrap();
+        w.members(&[("rows", Emit::Arr)]).unwrap();
+        for i in 0..rows {
+            w.element(Emit::Obj).unwrap();
+            w.members(&[
+                ("i", Emit::Num(i as f64)),
+                ("h", Emit::Hex(i.wrapping_mul(u64::MAX / 3))),
+            ])
+            .unwrap();
+            w.end().unwrap();
+        }
+        w.end().unwrap();
+        w.end().unwrap();
+        let streamed = String::from_utf8(w.finish().unwrap()).unwrap();
+
+        let tree = JsonValue::Obj(vec![
+            ("schema".into(), JsonValue::Str("t/1".into())),
+            ("empty".into(), JsonValue::Arr(Vec::new())),
+            (
+                "rows".into(),
+                JsonValue::Arr(
+                    (0..rows)
+                        .map(|i| {
+                            JsonValue::Obj(vec![
+                                ("i".into(), JsonValue::Num(i as f64)),
+                                (
+                                    "h".into(),
+                                    JsonValue::Str(format!(
+                                        "{:016x}",
+                                        i.wrapping_mul(u64::MAX / 3)
+                                    )),
+                                ),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ]);
+        assert_eq!(streamed, tree.to_string_pretty());
+    }
+
+    #[test]
+    fn hex_is_sixteen_lower_case_digits() {
+        let mut out = String::new();
+        write_hex(&mut out, 0);
+        write_hex(&mut out, u64::MAX);
+        write_hex(&mut out, 0x0123_4567_89ab_cdef);
+        assert_eq!(
+            out,
+            "\"0000000000000000\"\"ffffffffffffffff\"\"0123456789abcdef\""
+        );
+    }
+
+    #[test]
+    fn sink_errors_surface() {
+        #[derive(Debug)]
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = PrettyWriter::new(Full);
+        assert_eq!(
+            w.value(Emit::Str("x")).unwrap_err().to_string(),
+            "disk full"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong container")]
+    fn a_member_outside_an_object_is_a_bug() {
+        let mut w = PrettyWriter::new(Vec::new());
+        w.value(Emit::Arr).unwrap();
+        let _ = w.members(&[("k", Emit::Null)]);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Validating the rest of the input per character made this
+        // quadratic: minutes for a string of this length.
+        let body = "h\u{e9}llo \u{2713} ".repeat(1 << 16);
+        let text = format!("[\"{body}\", \"a\\\"b\"]");
+        let v = JsonValue::parse(&text).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(body.as_str()));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("a\"b"));
+    }
 
     #[test]
     fn round_trips_compact_documents() {
