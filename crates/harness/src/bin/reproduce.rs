@@ -14,6 +14,10 @@
 //!     [--digest FILE] [--digest-overhead] [--digest-overhead-max-pct P]
 //! ```
 //!
+//! `--help` (or `-h`) prints the usage and exits 0; a flag with a missing
+//! or malformed value, or an unknown flag, prints a one-line error and
+//! exits 2. The same holds for `reproduce scale`.
+//!
 //! At `--scale 1.0` (default) the full Table-1 packet counts are reenacted;
 //! use `--scale 0.1` for a quick pass with the same loss rates. The 28
 //! (trace × protocol) reenactments fan out across `--jobs` worker threads
@@ -87,7 +91,7 @@
 //! ```text
 //! cargo run --release -p harness --bin reproduce -- scale
 //!     [--rungs N,N,...] [--shards N] [--protocol srm|cesrm] [--seed N]
-//!     [--packets N] [--losses N] [--csv FILE] [--bench-report FILE|-]
+//!     [--packets N] [--csv FILE] [--bench-report FILE|-]
 //!     [--check-identity] [--no-identity] [--in-process] [--max-rss-mb N]
 //!     [--profile[=json|folded]] [--profile-out FILE] [--digest FILE]
 //! ```
@@ -130,6 +134,70 @@ enum ProfFormat {
     Folded,
 }
 
+/// `reproduce --help`.
+const USAGE: &str = "\
+usage: reproduce [--scale F] [--seed N] [--traces 1,2,3] [--link-delay-ms MS]
+           [--lossy-recovery] [--jobs N] [--timings] [--seeds N] [--csv-dir DIR]
+           [--trace FILE] [--trace-filter seq=N|receiver=N|ev=NAME]
+           [--trace-slowest N]
+           [--health FILE] [--monitor-overhead] [--monitor-overhead-max-pct P]
+           [--bench-report FILE|-] [--baseline FILE] [--baseline-max-wall-pct P]
+           [--baseline-max-throughput-pct P] [--baseline-warn-only]
+           [--profile[=json|folded]] [--profile-out FILE]
+           [--profile-overhead] [--profile-overhead-max-pct P]
+           [--digest FILE] [--digest-overhead] [--digest-overhead-max-pct P]
+       reproduce scale [--help]
+       reproduce diff A.json B.json [--no-replay]
+
+Regenerates the CESRM paper's tables and figures.
+
+exit status: 0 ok; 1 I/O or baseline-read failure; 2 usage error;
+3 a regression or overhead gate fired; 4 an invariant was violated
+";
+
+/// `reproduce scale --help`.
+const SCALE_USAGE: &str = "\
+usage: reproduce scale [--rungs N,N,...] [--shards N] [--protocol srm|cesrm]
+           [--seed N] [--packets N] [--csv FILE] [--bench-report FILE|-]
+           [--check-identity] [--no-identity] [--in-process] [--max-rss-mb N]
+           [--profile[=json|folded]] [--profile-out FILE] [--digest FILE]
+
+Sweeps CESRM/SRM over 10^3 -> 10^6 receivers (docs/SCALING.md).
+
+exit status: 0 ok; 1 sharded results diverged or I/O failure;
+2 usage error; 3 a rung exceeded --max-rss-mb; 4 an invariant was
+violated or a loss went unrecovered
+";
+
+/// `reproduce diff --help`, also printed when the two paths are missing.
+const DIFF_USAGE: &str = "usage: reproduce diff A.json B.json [--no-replay]";
+
+/// Prints a one-line error for a flag whose value is missing or malformed
+/// and exits 2.
+fn bad_flag(flag: &str, what: &str, got: Option<&str>) -> ! {
+    match got {
+        Some(got) => eprintln!("{flag} requires {what}, got {got:?}"),
+        None => eprintln!("{flag} requires {what}"),
+    }
+    std::process::exit(2);
+}
+
+/// Takes the value of `flag` from `args` and parses it as `T`, or exits 2
+/// through [`bad_flag`] when it is missing or does not parse.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = impl AsRef<str>>,
+    flag: &str,
+    what: &str,
+) -> T {
+    let Some(value) = args.next() else {
+        bad_flag(flag, what, None)
+    };
+    let value = value.as_ref();
+    value
+        .parse()
+        .unwrap_or_else(|_| bad_flag(flag, what, Some(value)))
+}
+
 fn main() {
     // Any panic below dumps the active flight recorder's tail to stderr
     // before unwinding, so a crashed run still says what the simulation
@@ -156,6 +224,10 @@ fn diff_main(argv: &[String]) {
     for arg in argv {
         match arg.as_str() {
             "--no-replay" => no_replay = true,
+            "--help" | "-h" => {
+                println!("{DIFF_USAGE}");
+                return;
+            }
             other if other.starts_with("--") => {
                 eprintln!("unknown diff argument: {other}");
                 std::process::exit(2);
@@ -164,7 +236,7 @@ fn diff_main(argv: &[String]) {
         }
     }
     let [path_a, path_b] = paths[..] else {
-        eprintln!("usage: reproduce diff A.json B.json [--no-replay]");
+        eprintln!("{DIFF_USAGE}");
         std::process::exit(2);
     };
     let load = |path: &str| -> obs::JsonValue {
@@ -282,17 +354,19 @@ fn suite_main(argv: Vec<String>) {
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             "--scale" => {
-                cfg.scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale requires a number in (0, 1]");
+                const WHAT: &str = "a number in (0, 1]";
+                cfg.scale = flag_value(&mut args, "--scale", WHAT);
+                if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
+                    bad_flag("--scale", WHAT, Some(&cfg.scale.to_string()));
+                }
             }
             "--seed" => {
-                cfg.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer");
+                cfg.seed = flag_value(&mut args, "--seed", "an integer");
             }
             "--traces" => {
                 cfg.traces = Some(parse_traces(args.next().as_deref()).unwrap_or_else(|e| {
@@ -301,54 +375,41 @@ fn suite_main(argv: Vec<String>) {
                 }));
             }
             "--link-delay-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--link-delay-ms requires an integer");
+                let ms: u64 = flag_value(&mut args, "--link-delay-ms", "an integer");
                 cfg = cfg.with_link_delay_ms(ms);
             }
             "--lossy-recovery" => cfg.experiment.lossy_recovery = true,
             "--jobs" => {
-                cfg.jobs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs requires a worker count"),
-                );
+                cfg.jobs = Some(flag_value(&mut args, "--jobs", "a worker count"));
             }
             "--timings" => timings = true,
             "--seeds" => {
-                seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds requires a count");
+                seeds = flag_value(&mut args, "--seeds", "a count");
             }
             "--csv-dir" => {
-                csv_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--csv-dir requires a path"),
-                ));
+                csv_dir = Some(flag_value(&mut args, "--csv-dir", "a path"));
             }
             "--trace" => {
-                let path = args.next().expect("--trace requires an output path");
+                let path = flag_value::<String>(&mut args, "--trace", "an output path");
                 trace_path = Some(std::path::PathBuf::from(path));
                 cfg.capture_events = true;
             }
             "--trace-filter" => {
-                let expr = args
-                    .next()
-                    .expect("--trace-filter requires seq=N, receiver=N or ev=NAME");
+                let expr = flag_value::<String>(
+                    &mut args,
+                    "--trace-filter",
+                    "seq=N, receiver=N or ev=NAME",
+                );
                 trace_filter = TraceFilter::parse(&expr).unwrap_or_else(|e| {
                     eprintln!("bad --trace-filter: {e}");
                     std::process::exit(2);
                 });
             }
             "--trace-slowest" => {
-                trace_slowest = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--trace-slowest requires a count");
+                trace_slowest = flag_value(&mut args, "--trace-slowest", "a count");
             }
             "--bench-report" => {
-                let path = args.next().expect("--bench-report requires a path or -");
+                let path = flag_value::<String>(&mut args, "--bench-report", "a path or -");
                 bench_path = Some(if path == "-" {
                     std::path::PathBuf::from(format!("BENCH_{}.json", harness::utc_date_stamp()))
                 } else {
@@ -357,62 +418,44 @@ fn suite_main(argv: Vec<String>) {
                 cfg.collect_metrics = true;
             }
             "--baseline" => {
-                baseline_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--baseline requires a file"),
-                ));
+                baseline_path = Some(flag_value(&mut args, "--baseline", "a file"));
             }
             "--baseline-max-wall-pct" => {
-                thresholds.max_wall_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--baseline-max-wall-pct requires a percentage");
+                thresholds.max_wall_pct =
+                    flag_value(&mut args, "--baseline-max-wall-pct", "a percentage");
             }
             "--baseline-max-throughput-pct" => {
-                thresholds.max_throughput_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--baseline-max-throughput-pct requires a percentage");
+                thresholds.max_throughput_pct =
+                    flag_value(&mut args, "--baseline-max-throughput-pct", "a percentage");
             }
             "--baseline-warn-only" => baseline_warn_only = true,
             "--health" => {
-                health_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--health requires an output path"),
-                ));
+                health_path = Some(flag_value(&mut args, "--health", "an output path"));
                 cfg.monitor = true;
             }
             "--monitor-overhead" => monitor_overhead = true,
             "--monitor-overhead-max-pct" => {
-                overhead_max_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--monitor-overhead-max-pct requires a percentage");
+                overhead_max_pct =
+                    flag_value(&mut args, "--monitor-overhead-max-pct", "a percentage");
             }
             "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
             "--profile=folded" => profile = Some(ProfFormat::Folded),
             "--profile-out" => {
-                profile_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--profile-out requires a path"),
-                ));
+                profile_out = Some(flag_value(&mut args, "--profile-out", "a path"));
             }
             "--profile-overhead" => profile_overhead = true,
             "--profile-overhead-max-pct" => {
-                profile_overhead_max_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--profile-overhead-max-pct requires a percentage");
+                profile_overhead_max_pct =
+                    flag_value(&mut args, "--profile-overhead-max-pct", "a percentage");
             }
             "--digest" => {
-                digest_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--digest requires an output path"),
-                ));
+                digest_path = Some(flag_value(&mut args, "--digest", "an output path"));
                 cfg.digest = true;
             }
             "--digest-overhead" => digest_overhead = true,
             "--digest-overhead-max-pct" => {
-                digest_overhead_max_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--digest-overhead-max-pct requires a percentage");
+                digest_overhead_max_pct =
+                    flag_value(&mut args, "--digest-overhead-max-pct", "a percentage");
             }
             other => {
                 eprintln!("unknown argument: {other}");
@@ -870,29 +913,20 @@ fn scale_rung_main(argv: &[String]) {
     let mut protocol = String::from("cesrm");
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
-        let mut take = |what: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{what} requires an integer");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--receivers" => {
-                cfg.receivers = take("--receivers");
+                cfg.receivers = flag_value(&mut args, "--receivers", "an integer");
                 cfg.losses = harness::default_losses(cfg.receivers);
             }
-            "--shards" => cfg.shards = take("--shards") as u32,
-            "--seed" => cfg.seed = take("--seed"),
-            "--packets" => cfg.packets = take("--packets"),
-            "--losses" => cfg.losses = take("--losses") as u32,
+            "--shards" => cfg.shards = flag_value(&mut args, "--shards", "an integer"),
+            "--seed" => cfg.seed = flag_value(&mut args, "--seed", "an integer"),
+            "--packets" => cfg.packets = flag_value(&mut args, "--packets", "an integer"),
+            "--losses" => cfg.losses = flag_value(&mut args, "--losses", "an integer"),
             "--monitor" => cfg.monitor = true,
             "--profile" => cfg.profile = true,
             "--digest" => cfg.digest = true,
             "--protocol" => {
-                protocol = args.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--protocol requires srm or cesrm");
-                    std::process::exit(2);
-                });
+                protocol = flag_value(&mut args, "--protocol", "srm or cesrm");
             }
             other => {
                 eprintln!("unknown scale-rung argument: {other}");
@@ -1272,45 +1306,36 @@ fn scale_main(argv: &[String]) {
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{SCALE_USAGE}");
+                return;
+            }
             "--rungs" => {
-                let list = args.next().expect("--rungs requires e.g. 1000,10000");
+                const WHAT: &str = "receiver counts, e.g. 1000,10000";
+                let list = flag_value::<String>(&mut args, "--rungs", WHAT);
                 rungs = list
                     .split(',')
-                    .map(|t| t.parse().expect("rung receiver counts are integers"))
-                    .collect();
+                    .map(|t| t.parse().ok())
+                    .collect::<Option<_>>()
+                    .unwrap_or_else(|| bad_flag("--rungs", WHAT, Some(&list)));
             }
             "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--shards requires a count"),
-                );
+                shards = Some(flag_value(&mut args, "--shards", "a count"));
             }
             "--protocol" => {
-                protocol = args
-                    .next()
-                    .cloned()
-                    .expect("--protocol requires srm or cesrm");
+                protocol = flag_value::<String>(&mut args, "--protocol", "srm or cesrm");
             }
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer");
+                seed = flag_value(&mut args, "--seed", "an integer");
             }
             "--packets" => {
-                packets = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--packets requires a count");
+                packets = flag_value(&mut args, "--packets", "a count");
             }
             "--csv" => {
-                csv_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--csv requires a path"),
-                ));
+                csv_path = Some(flag_value(&mut args, "--csv", "a path"));
             }
             "--bench-report" => {
-                let path = args.next().expect("--bench-report requires a path or -");
+                let path = flag_value::<String>(&mut args, "--bench-report", "a path or -");
                 bench_path = Some(if path == "-" {
                     std::path::PathBuf::from(format!(
                         "BENCH_SCALE_{}.json",
@@ -1326,21 +1351,13 @@ fn scale_main(argv: &[String]) {
             "--profile" | "--profile=json" => profile = Some(ProfFormat::Json),
             "--profile=folded" => profile = Some(ProfFormat::Folded),
             "--profile-out" => {
-                profile_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--profile-out requires a path"),
-                ));
+                profile_out = Some(flag_value(&mut args, "--profile-out", "a path"));
             }
             "--max-rss-mb" => {
-                max_rss_mb = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-rss-mb requires a size in MiB"),
-                );
+                max_rss_mb = Some(flag_value(&mut args, "--max-rss-mb", "a size in MiB"));
             }
             "--digest" => {
-                digest_path = Some(std::path::PathBuf::from(
-                    args.next().expect("--digest requires an output path"),
-                ));
+                digest_path = Some(flag_value(&mut args, "--digest", "an output path"));
             }
             other => {
                 eprintln!("unknown scale argument: {other}");

@@ -1152,4 +1152,14 @@ mod tests {
             "bytes/receiver grew from {per_small} to {per_large}"
         );
     }
+
+    #[test]
+    fn state_bytes_per_receiver_at_the_smallest_rung_is_704() {
+        // The figure docs/SCALING.md, README.md and EXPERIMENTS.md quote
+        // (`reproduce scale` reports the same at 10³ and 10⁴). A layout
+        // change to the per-receiver protocol state moves it; update the
+        // docs with it.
+        let result = run_scale(&ScaleConfig::rung(1000));
+        assert_eq!(result.state_bytes_per_receiver(), 704);
+    }
 }

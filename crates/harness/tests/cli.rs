@@ -1,6 +1,7 @@
 //! Binary-level behaviour of `reproduce`: input errors get a one-line
 //! message and exit status 2, never a panic backtrace or a run over an
-//! empty trace selection; scale trails survive the child-process hop.
+//! empty trace selection; `--help` prints the usage and exits 0; scale
+//! trails survive the child-process hop.
 
 use std::process::{Command, Output};
 
@@ -40,6 +41,78 @@ fn unknown_or_malformed_trace_numbers_exit_2() {
         !std::path::Path::new(trail).exists(),
         "no trail is written for a rejected selection"
     );
+}
+
+#[test]
+fn malformed_flag_values_exit_2_with_one_line() {
+    let cases: [(&[&str], &str); 11] = [
+        (&["--scale", "abc"], "--scale"),
+        (&["--scale", "0"], "--scale"),
+        (&["--scale", "1.5"], "--scale"),
+        (&["--scale"], "--scale"),
+        (&["--jobs", "two"], "--jobs"),
+        (&["--seed", "-3"], "--seed"),
+        (
+            &["--baseline-max-wall-pct", "ten"],
+            "--baseline-max-wall-pct",
+        ),
+        (&["scale", "--rungs", "abc"], "--rungs"),
+        (&["scale", "--rungs", "1000,"], "--rungs"),
+        (&["scale", "--shards", "x"], "--shards"),
+        (&["scale", "--max-rss-mb"], "--max-rss-mb"),
+    ];
+    for (args, flag) in cases {
+        let out = reproduce(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "{args:?}: one-line error, got:\n{stderr}"
+        );
+        assert!(
+            stderr.starts_with(&format!("{flag} requires ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for (args, head) in [
+        (&["--help"][..], "usage: reproduce ["),
+        (&["-h"], "usage: reproduce ["),
+        (&["--scale", "0.01", "--help"], "usage: reproduce ["),
+        (&["scale", "--help"], "usage: reproduce scale "),
+        (&["scale", "-h"], "usage: reproduce scale "),
+        (&["diff", "--help"], "usage: reproduce diff "),
+    ] {
+        let out = reproduce(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.starts_with(head), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
+#[test]
+fn unknown_flags_exit_2() {
+    for args in [
+        &["--bogus"][..],
+        &["scale", "--bogus"],
+        &["scale", "--losses", "3"],
+    ] {
+        let out = reproduce(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

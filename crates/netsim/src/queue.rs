@@ -18,6 +18,10 @@
 //!   `(at, seq)` once, then pop from the back (O(1) each). Events pushed
 //!   into the active tick insert at their sorted position — rare, since
 //!   most same-time work lands in later ticks.
+//! * A drained bucket whose buffer grew beyond [`RETAINED_BUCKET_CAP`]
+//!   entries gives it back when the window moves on. Without this, a
+//!   rung's one-off bursts (the t=0 `Start` burst, wide fan-outs) pin
+//!   their high-water capacity in every ring slot they ever touched.
 //!
 //! The legacy heap is kept behind [`SchedulerKind::LegacyHeap`] so the
 //! determinism suite can assert byte-identical results between the two
@@ -37,6 +41,13 @@ const BUCKET_SHIFT: u32 = 20;
 /// arm, so the far-future heap is idle in the paper suite.
 const NUM_BUCKETS: u64 = 4096;
 const BUCKET_MASK: u64 = NUM_BUCKETS - 1;
+/// Largest buffer, in entries, a drained bucket keeps for reuse. The paper
+/// suite's buckets peak below 100 events, so they keep their buffers and
+/// stop reallocating once warm; a 10⁵-receiver rung's ~1,000-event ticks
+/// hand theirs back. The ring then retains at most `NUM_BUCKETS × 256`
+/// entries (48 MiB of 48-byte events) instead of every bucket's
+/// high-water.
+const RETAINED_BUCKET_CAP: usize = 256;
 
 /// Which event-queue implementation a simulator uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -208,6 +219,7 @@ impl<T> CalendarQueue<T> {
         if self.len == 0 {
             let now_tick = Self::tick_of(now);
             debug_assert!(now_tick >= self.cur_tick, "clock behind the cursor");
+            self.release_drained();
             self.cur_tick = now_tick;
             self.active = false;
         }
@@ -280,11 +292,26 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Frees the active bucket's buffer if it is larger than
+    /// [`RETAINED_BUCKET_CAP`]. Called only as the cursor leaves the
+    /// active bucket, which by then is always drained.
+    #[inline]
+    fn release_drained(&mut self) {
+        if self.active {
+            let drained = &mut self.buckets[(self.cur_tick & BUCKET_MASK) as usize];
+            debug_assert!(drained.is_empty(), "left a bucket mid-drain");
+            if drained.capacity() > RETAINED_BUCKET_CAP {
+                *drained = Vec::new();
+            }
+        }
+    }
+
     /// Slides the window so `cur_tick = tick`, promoting far-future events
     /// that now fall inside it, and activates the new current bucket.
     fn advance_to(&mut self, tick: u64) {
         debug_assert!(tick >= self.cur_tick);
         let skip = tick - self.cur_tick;
+        self.release_drained();
         self.telemetry.advances += 1;
         self.telemetry.skip_ticks += skip;
         if skip > self.telemetry.max_skip_ticks {
@@ -352,6 +379,26 @@ impl<T> CalendarQueue<T> {
             let tick = Self::tick_of(head.at);
             self.advance_to(tick);
         }
+    }
+
+    /// The events left in the active bucket, sorted descending by `(at,
+    /// seq)`: the last entry pops next, the one before it after that, for
+    /// as long as the bucket lasts. Empty when no bucket is active. Pushes
+    /// into the active tick can still land between these entries, so a
+    /// reader may use this to look ahead (to prefetch), not to predict.
+    #[inline]
+    pub fn backlog(&self) -> &[Entry<T>] {
+        if self.active {
+            &self.buckets[(self.cur_tick & BUCKET_MASK) as usize]
+        } else {
+            &[]
+        }
+    }
+
+    /// Allocated capacity, in entries, of the ring bucket holding `tick`.
+    #[cfg(test)]
+    fn bucket_capacity(&self, tick: u64) -> usize {
+        self.buckets[(tick & BUCKET_MASK) as usize].capacity()
     }
 
     /// Timestamp of the earliest queued event without popping it.
@@ -454,6 +501,17 @@ impl<T> EventQueue<T> {
                     None
                 }
             }
+        }
+    }
+
+    /// The calendar queue's active-bucket backlog (see
+    /// [`CalendarQueue::backlog`]); the legacy heap has none and returns
+    /// an empty slice.
+    #[inline]
+    pub fn backlog(&self) -> &[Entry<T>] {
+        match self {
+            EventQueue::Calendar(q) => q.backlog(),
+            EventQueue::Heap(_) => &[],
         }
     }
 
@@ -707,6 +765,75 @@ mod tests {
                 _ => panic!("drain divergence"),
             }
         }
+    }
+
+    #[test]
+    fn drained_burst_bucket_gives_its_buffer_back() {
+        // The t=0 `Start` burst of a 10⁵-receiver rung on two shards: one
+        // tick holding 50,001 events, then later work in another tick.
+        let mut q = CalendarQueue::new();
+        for seq in 0..50_001u64 {
+            q.push(
+                Entry {
+                    at: 0,
+                    seq,
+                    item: 0u32,
+                },
+                0,
+            );
+        }
+        q.push(
+            Entry {
+                at: 5 << BUCKET_SHIFT,
+                seq: 50_001,
+                item: 0u32,
+            },
+            0,
+        );
+        assert!(q.bucket_capacity(0) >= 50_001);
+        for seq in 0..50_001u64 {
+            let e = q.pop_at_most(u64::MAX).unwrap();
+            assert_eq!((e.at, e.seq), (0, seq));
+        }
+        assert_eq!(q.backlog().len(), 0, "burst drained");
+        // The next pop advances past the drained bucket.
+        assert_eq!(q.pop_at_most(u64::MAX).unwrap().seq, 50_001);
+        assert!(q.bucket_capacity(0) <= RETAINED_BUCKET_CAP);
+    }
+
+    #[test]
+    fn small_drained_buckets_keep_their_buffers() {
+        let mut q = CalendarQueue::new();
+        for (seq, at) in [(0u64, 1u64), (1, 2), (2, 3 << BUCKET_SHIFT)] {
+            q.push(
+                Entry {
+                    at,
+                    seq,
+                    item: 0u32,
+                },
+                0,
+            );
+        }
+        let cap = q.bucket_capacity(0);
+        assert!((2..=RETAINED_BUCKET_CAP).contains(&cap));
+        assert_eq!(drain_order(&mut q).len(), 3);
+        assert_eq!(q.bucket_capacity(0), cap);
+    }
+
+    #[test]
+    fn legacy_heap_has_no_backlog() {
+        // The calendar queue's backlog is checked against a reference
+        // heap in `tests/queue_proptest.rs`.
+        let mut q: EventQueue<u32> = EventQueue::new(SchedulerKind::LegacyHeap);
+        q.push(
+            Entry {
+                at: 1,
+                seq: 0,
+                item: 0,
+            },
+            0,
+        );
+        assert!(q.backlog().is_empty());
     }
 
     #[test]

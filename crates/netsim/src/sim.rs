@@ -102,6 +102,42 @@ enum EventKind {
     },
 }
 
+impl EventKind {
+    /// The node whose state dispatching this event touches first.
+    #[inline]
+    fn node(&self) -> NodeId {
+        match *self {
+            EventKind::Start { node } | EventKind::Timer { node, .. } => node,
+            EventKind::Hop { at, .. } => at,
+        }
+    }
+}
+
+/// How many pops ahead [`Simulator::run_until`] prefetches an event's
+/// node slots (agent pointer, adjacency start, parent, uplink state).
+const PREFETCH_FAR: usize = 16;
+/// How many pops ahead it prefetches the agent body those slots point at.
+/// Half of [`PREFETCH_FAR`], so the agent pointer has had eight events'
+/// time to arrive before it is read.
+const PREFETCH_NEAR: usize = 8;
+
+/// Hints the CPU to pull the cache line holding `p` into L1. Never reads
+/// through `p` and has no effect on program state, so any address is
+/// fine; a no-op where no prefetch instruction is wired up.
+#[inline(always)]
+fn prefetch<T: ?Sized>(p: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: `prefetch` is a hint that neither reads nor writes memory and
+    // cannot fault, whatever the address; SSE is part of the x86_64
+    // baseline, so the intrinsic's target feature is always present.
+    // simlint: allow(D004, reason = "_mm_prefetch is an unsafe intrinsic; std::hint::prefetch_read is unstable, and a prefetch never dereferences its address")
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = p;
+}
+
 /// Approximate heap footprint of one queued event, used by the harness to
 /// turn the queue-depth high-water mark into a peak-memory estimate for
 /// `BENCH_*.json`. Both schedulers store their entries inline; `Hop`
@@ -733,12 +769,47 @@ impl Simulator {
                 entry.at >= self.now.as_nanos(),
                 "event queue went backwards"
             );
+            // Long buckets (10⁵-receiver rungs hold ~1,000 events per
+            // tick) are bound by cache misses on per-node state; the
+            // paper suite's short ones pay only this length check.
+            if self.queue.backlog().len() > PREFETCH_FAR {
+                self.prefetch_ahead();
+            }
             self.now = SimTime::from_nanos(entry.at);
             self.events_processed += 1;
             self.dispatch(entry.item);
         }
         if self.now < until {
             self.now = until;
+        }
+    }
+
+    /// Prefetches the state the events [`PREFETCH_FAR`] and
+    /// [`PREFETCH_NEAR`] pops ahead will touch. The active bucket is
+    /// sorted, so those events are known; the queue must hold more than
+    /// `PREFETCH_FAR` of them. Kept out of line so the check in
+    /// [`run_until`](Simulator::run_until) is all short buckets pay.
+    #[inline(never)]
+    fn prefetch_ahead(&self) {
+        let backlog = self.queue.backlog();
+        let far = backlog[backlog.len() - PREFETCH_FAR].item.node().index();
+        prefetch(&self.agents[far]);
+        prefetch(&self.nbr_start[far]);
+        prefetch(&self.parent[far]);
+        prefetch(&self.links[far]);
+        let near = backlog[backlog.len() - PREFETCH_NEAR].item.node().index();
+        if let Some(agent) = self.agents[near].as_deref() {
+            // Every 64-byte line the body overlaps, from the line holding
+            // its first byte (boxes are only 16-byte aligned).
+            let body = std::ptr::from_ref(agent).cast::<u8>();
+            let lead = body.addr() % 64;
+            let first_line = body.wrapping_sub(lead);
+            for offset in (0..lead + std::mem::size_of_val(agent)).step_by(64) {
+                prefetch(first_line.wrapping_add(offset));
+            }
+        }
+        if let Some(first) = self.nbrs.get(self.nbr_start[near] as usize) {
+            prefetch(first);
         }
     }
 

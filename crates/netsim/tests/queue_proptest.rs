@@ -11,8 +11,13 @@
 //! * `telemetry().outstanding()` (`pushes - pops`) equals the live event
 //!   count, and
 //! * the overflow counters obey `promotions <= far_pushes`.
+//!
+//! A second tape checks the lookahead the simulator prefetches from: while
+//! a bucket is active, its backlog read back to front is exactly the next
+//! pops of a reference `BinaryHeap`.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use netsim::{CalendarQueue, Entry};
 use proptest::prelude::*;
@@ -100,5 +105,60 @@ proptest! {
         prop_assert_eq!(t.outstanding(), 0);
         prop_assert_eq!(t.pushes, next_seq);
         prop_assert_eq!(t.pops, next_seq);
+    }
+}
+
+/// Width of one calendar tick: 2^20 ns.
+const TICK: u64 = 1 << 20;
+
+proptest! {
+    #[test]
+    fn reversed_backlog_is_the_next_pops(
+        tape in proptest::collection::vec((0u8..4, 0u64..u64::MAX / 4), 1..300)
+    ) {
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut now = 0u64;
+        let mut next_seq = 0u64;
+
+        for &(op, x) in &tape {
+            match op {
+                // Pushes crowd a few ticks, so buckets hold several
+                // events and some land in the active tick mid-drain.
+                0 | 1 => {
+                    let at = now + x % (4 * TICK);
+                    q.push(Entry { at, seq: next_seq, item: 0 }, now);
+                    heap.push(Reverse((at, next_seq)));
+                    next_seq += 1;
+                }
+                2 => {
+                    let at = now + x % (2 * FAR_OFFSET);
+                    q.push(Entry { at, seq: next_seq, item: 0 }, now);
+                    heap.push(Reverse((at, next_seq)));
+                    next_seq += 1;
+                }
+                _ => {
+                    let limit = now + x % (8 * TICK);
+                    let expect = heap
+                        .peek()
+                        .map(|&Reverse(k)| k)
+                        .filter(|&(at, _)| at <= limit);
+                    let got = q.pop_at_most(limit).map(|e| (e.at, e.seq));
+                    prop_assert_eq!(got, expect);
+                    if got.is_some() {
+                        heap.pop();
+                    }
+                    now = now.max(got.map_or(limit, |(at, _)| at));
+                }
+            }
+            // The backlog is a prefix of the remaining pop order.
+            let ahead: Vec<(u64, u64)> =
+                q.backlog().iter().rev().map(|e| (e.at, e.seq)).collect();
+            let mut reference = heap.clone();
+            let next: Vec<(u64, u64)> = (0..ahead.len())
+                .map_while(|_| reference.pop().map(|Reverse(k)| k))
+                .collect();
+            prop_assert_eq!(&ahead, &next, "backlog disagrees with the heap's next pops");
+        }
     }
 }
